@@ -2,12 +2,13 @@
 
 Every expensive operation in the crypto layer -- randomness-pool refills
 (``r^n mod n^2``), batch encryption, batch decryption, DGK bit
-encryption -- reduces to an *array of independent modexp jobs*
-``(base, exponent, modulus)``.  :class:`ModexpEngine` executes such
-arrays either serially (the default, bit-identical to the seed-era inner
-loops) or sharded across a process pool, so offline wall-clock scales
-with cores on multi-core hosts.  Job arrays are plain integer tuples --
-picklable, key-material-free bytes on the worker boundary.
+encryption, DGK witness zero tests -- reduces to an *array of
+independent modexp jobs* ``(base, exponent, modulus)``.
+:class:`ModexpEngine` executes such arrays either serially (the
+default, bit-identical to the seed-era inner loops) or sharded across a
+process pool, so offline wall-clock scales with cores on multi-core
+hosts.  Job arrays are plain integer tuples -- picklable,
+key-material-free bytes on the worker boundary.
 
 Design rules (see DESIGN.md, "Parallel modexp engine"):
 
@@ -16,16 +17,18 @@ Design rules (see DESIGN.md, "Parallel modexp engine"):
   the caller's RNG in exactly the order the serial code path does, then
   ships the pure ``pow`` work to workers.  Engine-vs-serial equivalence
   is property-tested for pool fills, batch encryption, batch decryption,
-  and DGK bit encryption.
+  and DGK bit encryption; the witness zero test is property-tested
+  against decryption.
 - **Serial fallback.** ``workers <= 1``, batches below
   ``min_parallel_jobs``, or a pool that cannot be spawned (sandboxed
   hosts) all run the jobs in-process; the fallback is recorded in
   :meth:`report`, never raised.
 - **Trust boundary.** Worker processes belong to the party that owns the
   engine call: refill jobs carry only public-key material
-  ``(r, n, n^2)``; CRT-split decryption jobs carry ``p``/``q``-derived
-  moduli and are only ever issued by the private-key holder for its own
-  ciphertexts -- the same boundary as the in-process CRT decrypt.
+  ``(r, n, n^2)``; CRT-split decryption and zero-test jobs carry
+  ``p``/``q``-derived moduli and are only ever issued by the private-key
+  holder for its own ciphertexts -- the same boundary as the in-process
+  CRT decrypt.
 """
 
 from __future__ import annotations
@@ -188,7 +191,8 @@ class ModexpEngine:
         plaintext/ciphertext/factor, including fully-pooled encryptions
         that execute zero modexps); ``parallel_modexps`` counts raw
         modexp jobs actually executed on workers (CRT decryption runs
-        two per ciphertext), so the two are deliberately not comparable.
+        two per ciphertext, a zero test one), so the two are
+        deliberately not comparable.
         """
         with self._lock:
             chunks, slots = self.chunks, self.chunk_slots
@@ -411,6 +415,44 @@ class ModexpEngine:
             m_q = (_l_quotient(powers[2 * index + 1], q) * private.hq) % q
             plaintexts.append(crt_pair(m_p, p, m_q, q))
         return plaintexts
+
+    def zero_test_batch(self, private: "PaillierPrivateKey",
+                        ciphertext_values: Sequence[int],
+                        bound: int) -> list[bool]:
+        """Which ciphertexts encrypt 0, given every plaintext ``|m| < bound``.
+
+        The caller vouches for the bound (DGK witnesses are blinded
+        small integers).  When ``bound <= min(p, q)``, ``m = 0 (mod n)``
+        iff ``p | m`` iff ``c^(p-1) = 1 (mod p^2)``: ``r^(n(p-1))`` is 1
+        modulo ``p^2`` and ``g^(p-1) = 1 + a*p`` with ``a`` a unit mod
+        ``p`` (``hp`` is its inverse), for ``g = n + 1`` and random-``g``
+        keys alike.  So each ciphertext costs one half-width job
+        ``(c, p - 1, p^2)`` -- no ``q`` half, no L function, no CRT
+        recombination, and no plaintext is ever formed.  Otherwise
+        (small keys, or a key without CRT constants) the answer is
+        ``decrypt_raw_batch(...) == 0``.  The branch depends only on the
+        key and the public bound, never on a ciphertext.
+        """
+        from repro.crypto.paillier import PaillierError
+
+        values = list(ciphertext_values)
+        if getattr(private, "sealed", False):
+            # Sanctioned discard boundary, as in decrypt_raw_batch: the
+            # answer its placeholder zeros would give, with no modexp.
+            return [True] * len(values)
+        if (private.hp is None or private.hq is None
+                or bound > min(private.p, private.q)):
+            return [plaintext == 0 for plaintext in
+                    self.decrypt_raw_batch(private, values)]
+        self._count(len(values))
+        n_sq = private.public_key.n_squared
+        for value in values:
+            if not 0 <= value < n_sq:
+                raise PaillierError("ciphertext outside Z_{n^2}")
+        p = private.p
+        p_sq = p * p
+        powers = self._execute([(value, p - 1, p_sq) for value in values])
+        return [power == 1 for power in powers]
 
 
 _SERIAL_ENGINE: ModexpEngine | None = None

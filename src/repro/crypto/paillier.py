@@ -24,6 +24,7 @@ against each other).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -62,7 +63,7 @@ class PaillierPublicKey:
             r = rng.randrange(1, self.n)
             # gcd check: for a semiprime n, non-units are multiples of p or
             # q, which are never hit in practice, but the spec requires it.
-            if _gcd(r, self.n) == 1:
+            if math.gcd(r, self.n) == 1:
                 return r
 
     def raw_encrypt(self, plaintext: int, r: int) -> int:
@@ -314,12 +315,6 @@ def _l_quotient(u: int, divisor: int) -> int:
     return (u - 1) // divisor
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _raw_encrypt_constant(self: PaillierPublicKey, constant: int) -> int:
     """``g^constant mod n^2`` -- deterministic encryption with unit randomness."""
     return self._g_pow(constant % self.n)
@@ -360,7 +355,7 @@ def generate_paillier_keypair(bits: int, rng: random.Random,
         n = p * q
         # The paper's explicit check; automatic when p, q have equal size,
         # but we verify rather than assume.
-        if _gcd(n, (p - 1) * (q - 1)) == 1:
+        if math.gcd(n, (p - 1) * (q - 1)) == 1:
             break
 
     lam = lcm(p - 1, q - 1)
@@ -369,7 +364,7 @@ def generate_paillier_keypair(bits: int, rng: random.Random,
     if random_g:
         while True:
             g = rng.randrange(2, n_sq)
-            if _gcd(g, n_sq) != 1:
+            if math.gcd(g, n_sq) != 1:
                 continue
             try:
                 mu = mod_inverse(_paillier_l(pow(g, lam, n_sq), n), n)

@@ -13,12 +13,13 @@ carries a :class:`SealedPaillierPrivateKey` (or
 :class:`SealedRsaPrivateKey`): an object with the public half and an
 owner tag but **no secret fields at all** -- there is nothing to steal
 -- and every decrypt/sign entry point raises
-:class:`PublicOnlyKeyError`.  The two sanctioned discard boundaries
+:class:`PublicOnlyKeyError`.  The sanctioned discard boundaries
 (:meth:`repro.crypto.engine.ModexpEngine.decrypt_raw_batch` and
 :func:`decrypt_or_discard`) substitute placeholder zeros for sealed
-decrypts; everything downstream of those zeros feeds only frames the
-mirror discards, which the bit-identical equivalence bar proves on
-every run.
+decrypts, and :meth:`~repro.crypto.engine.ModexpEngine.zero_test_batch`
+answers "is zero" as those zeros would; everything downstream feeds
+only frames the mirror discards, which the bit-identical equivalence
+bar proves on every run.
 
 Public keys for sealed contexts are captured from the authentic wire
 exchange at session start and cross-checked against the manifest's
@@ -132,11 +133,11 @@ def seal_rsa_keypair(public_key: RsaPublicKey, owner: str) -> RsaKeyPair:
 def decrypt_or_discard(private_key, ciphertext) -> int:
     """Decrypt, or return a placeholder zero when the key is sealed.
 
-    One of the two sanctioned discard boundaries (the other is the
-    engine's ``decrypt_raw_batch``).  A sealed key means the decrypting
-    party is remote in this process: the true plaintext exists only in
-    the owner's process, and everything computed from the placeholder
-    feeds frames the mirror discards.
+    One of the sanctioned discard boundaries (the others are the
+    engine's ``decrypt_raw_batch`` and ``zero_test_batch``).  A sealed
+    key means the decrypting party is remote in this process: the true
+    plaintext exists only in the owner's process, and everything
+    computed from the placeholder feeds frames the mirror discards.
     """
     if is_sealed(private_key):
         return 0

@@ -22,7 +22,13 @@ Protocol:
    all higher bits equal).
 3. The other party blinds each ``E(c_t)`` with a random multiplier,
    rerandomizes, shuffles, and returns the batch.
-4. The key holder decrypts: some plaintext is 0  <=>  ``x > y``.
+4. The key holder tests each witness for zero: some plaintext is 0
+   <=>  ``x > y``.  A witness plaintext is ``c_t * r`` with
+   ``|c_t| <= 3 * bits`` and ``r < 2^_BLIND_BITS``, so it is below
+   :func:`witness_bound` in magnitude; when that bound is below both
+   key primes, :meth:`~repro.crypto.engine.ModexpEngine.zero_test_batch`
+   answers with one half-width powmod per witness and never forms a
+   plaintext (smaller keys fall back to full decryption).
 
 Amortized batches: :func:`dgk_greater_than_batch` compares one
 key-holder value ``x`` against many other-party values ``y_1..y_k`` in a
@@ -31,10 +37,11 @@ ciphertexts are shared by every comparison of the batch, which is sound
 because they are semantically secure and carry no per-``y`` state --
 while steps 2-3 run per ``y_i`` exactly as in the per-point protocol
 (independent blinding multipliers, independent rerandomization, an
-independent shuffle per point), and step 4 decrypts all witness batches
-in one engine sweep.  The predicate bits are bit-identical to ``k``
-per-point runs; only the key holder's encryption count (``bits`` instead
-of ``k * bits``) and the message count (2 instead of ``2k``) change.
+independent shuffle per point), and step 4 zero-tests all witness
+batches in one engine sweep.  The predicate bits are bit-identical to
+``k`` per-point runs; only the key holder's encryption count (``bits``
+instead of ``k * bits``) and the message count (2 instead of ``2k``)
+change.
 """
 
 from __future__ import annotations
@@ -52,6 +59,16 @@ _BLIND_BITS = 40
 
 class BitwiseComparisonError(ValueError):
     """Raised on out-of-domain inputs."""
+
+
+def witness_bound(bits: int) -> int:
+    """Exclusive bound on ``|c_t * r|`` for a ``bits``-bit comparison.
+
+    ``c_t = x_t - y_t - 1 + 3 * w_t`` lies in ``[-2, 3 * bits]`` and the
+    blinding multiplier in ``[1, 2^_BLIND_BITS)``.  Public: it depends
+    on the domain width alone.
+    """
+    return (3 * bits + 3) << _BLIND_BITS
 
 
 def _check_domain(name: str, value: int, bits: int) -> None:
@@ -110,7 +127,7 @@ def dgk_greater_than(key_holder: Party, x: int, other: Party, y: int,
             hottest powmod sites, and pools turn each into a mulmod.
         engine: optional :class:`~repro.crypto.engine.ModexpEngine`
             executing the bit-encryption batch and the witness
-            decryption as sharded modexp jobs (bit-identical results;
+            zero test as sharded modexp jobs (bit-identical results;
             serial when omitted).
     """
     if bits < 1:
@@ -135,10 +152,10 @@ def dgk_greater_than(key_holder: Party, x: int, other: Party, y: int,
                                  other_pool)
     other.send(f"{label}/witnesses", blinded)
 
-    # --- Step 4 (key holder): decrypt, look for a zero. --------------------
+    # --- Step 4 (key holder): look for a witness encrypting zero. ----------
     witnesses = key_holder.receive(f"{label}/witnesses")
-    plaintexts = engine.decrypt_raw_batch(keypair.private_key, witnesses)
-    return any(value == 0 for value in plaintexts)
+    return any(engine.zero_test_batch(keypair.private_key, witnesses,
+                                      witness_bound(bits)))
 
 
 def dgk_greater_than_batch(key_holder: Party, x: int, other: Party,
@@ -154,8 +171,9 @@ def dgk_greater_than_batch(key_holder: Party, x: int, other: Party,
     ciphertexts are produced once and shared by every comparison, the
     other party evaluates one independently blinded and shuffled witness
     batch per ``y_i`` against them, and all witness batches travel (and
-    decrypt) together.  One message in each direction regardless of
-    ``len(ys)``; predicate bits identical to ``len(ys)`` per-point runs.
+    are zero-tested) together.  One message in each direction regardless
+    of ``len(ys)``; predicate bits identical to ``len(ys)`` per-point
+    runs.
     """
     if bits < 1:
         raise BitwiseComparisonError(f"bits must be >= 1, got {bits}")
@@ -184,12 +202,10 @@ def dgk_greater_than_batch(key_holder: Party, x: int, other: Party,
                                           other.rng, other_pool))
     other.send(f"{label}/witnesses", batches)
 
-    # --- Step 4 (key holder): one decryption sweep over every batch. -------
+    # --- Step 4 (key holder): one zero-test sweep over every batch. --------
     witness_batches = key_holder.receive(f"{label}/witnesses")
     flat = [value for batch in witness_batches for value in batch]
-    plaintexts = engine.decrypt_raw_batch(keypair.private_key, flat)
-    results = []
-    for index in range(len(witness_batches)):
-        group = plaintexts[index * bits:(index + 1) * bits]
-        results.append(any(value == 0 for value in group))
-    return results
+    zeros = engine.zero_test_batch(keypair.private_key, flat,
+                                   witness_bound(bits))
+    return [any(zeros[index * bits:(index + 1) * bits])
+            for index in range(len(witness_batches))]

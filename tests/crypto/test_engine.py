@@ -11,14 +11,16 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.crypto.engine import EngineError, ModexpEngine, default_engine
 from repro.crypto.keycache import cached_paillier_keypair
-from repro.crypto.paillier import PaillierError
+from repro.crypto.paillier import PaillierError, generate_paillier_keypair
 from repro.crypto.precompute import RandomnessPool
+from repro.crypto.sealed import seal_paillier_keypair
 from repro.net.channel import Channel
 from repro.net.party import make_party_pair
-from repro.smc.bitwise_comparison import dgk_greater_than
+from repro.smc.bitwise_comparison import dgk_greater_than, witness_bound
 
 KEYS = cached_paillier_keypair(256, 920)
 PUB = KEYS.public_key
@@ -275,6 +277,109 @@ class TestDecryptBatchEquivalence:
             _parallel_engine().decrypt_raw_batch(PRIV, [PUB.n_squared])
         with pytest.raises(PaillierError, match="Z_"):
             ModexpEngine(workers=1).decrypt_raw_batch(PRIV, [-1])
+
+
+WITNESS_BOUND = witness_bound(41)  # a 41-bit squared-distance domain
+RANDOM_G_KEYS = generate_paillier_keypair(256, random.Random(921),
+                                          random_g=True)
+
+# Plaintexts inside the witness bound: zero, blinded-witness-shaped
+# multiples of 2^40 of either sign, and arbitrary values in between.
+_bounded_plaintexts = st.one_of(
+    st.just(0),
+    st.integers(min_value=-125, max_value=125).map(lambda k: k << 40),
+    st.integers(min_value=-WITNESS_BOUND + 1, max_value=WITNESS_BOUND - 1))
+
+
+def _encrypt_signed(public, plaintexts, seed):
+    """Ciphertext values of ``m mod n`` (negatives become ``n - |m|``)."""
+    rng = random.Random(seed)
+    return [public.encrypt(m % public.n, rng).value for m in plaintexts]
+
+
+class TestZeroTestBatch:
+    """``zero_test_batch`` answers exactly ``decrypt_raw_batch(...) == 0``."""
+
+    @pytest.fixture(scope="class")
+    def parallel(self):
+        with _parallel_engine() as engine:
+            yield engine
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(_bounded_plaintexts, min_size=1, max_size=12),
+           st.integers(min_value=0, max_value=1000))
+    def test_agrees_with_decryption_serial(self, plaintexts, seed):
+        engine = ModexpEngine(workers=1)
+        for keys in (KEYS, RANDOM_G_KEYS):
+            values = _encrypt_signed(keys.public_key, plaintexts, seed)
+            expected = [m == 0 for m in
+                        keys.private_key.decrypt_raw_batch(values)]
+            assert expected == [m == 0 for m in plaintexts]
+            assert engine.zero_test_batch(keys.private_key, values,
+                                          WITNESS_BOUND) == expected
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.lists(_bounded_plaintexts, min_size=1, max_size=12),
+           st.integers(min_value=0, max_value=1000))
+    def test_agrees_with_decryption_parallel(self, parallel, plaintexts,
+                                             seed):
+        values = _encrypt_signed(PUB, plaintexts, seed)
+        assert parallel.zero_test_batch(PRIV, values, WITNESS_BOUND) \
+            == [m == 0 for m in parallel.decrypt_raw_batch(PRIV, values)]
+
+    def test_one_half_width_job_per_ciphertext(self, parallel):
+        values = _encrypt_signed(PUB, [0, 1 << 40, -(5 << 40)], 3)
+        before = parallel.report()["parallel_modexps"]
+        assert parallel.zero_test_batch(PRIV, values, WITNESS_BOUND) \
+            == [True, False, False]
+        assert parallel.report()["parallel_modexps"] - before == 3
+
+    def test_fallback_when_bound_reaches_a_prime(self):
+        """At a 64-bit key the witness bound exceeds ``p``: ``m = p`` is
+        nonzero mod ``n`` yet divisible by ``p``, so only decryption can
+        answer -- and the fallback runs the two-job CRT decrypt."""
+        small = cached_paillier_keypair(64, 923)
+        private = small.private_key
+        assert WITNESS_BOUND > min(private.p, private.q)
+        plaintexts = [0, private.p, private.q, 1 << 40, -(7 << 40)]
+        values = _encrypt_signed(small.public_key, plaintexts, 4)
+        expected = [True, False, False, False, False]
+        assert ModexpEngine(workers=1).zero_test_batch(
+            private, values, WITNESS_BOUND) == expected
+        with _parallel_engine() as engine:
+            assert engine.zero_test_batch(private, values,
+                                          WITNESS_BOUND) == expected
+            assert engine.report()["parallel_modexps"] == 2 * len(values)
+
+    def test_fallback_without_crt_constants(self):
+        plain_key = dataclasses.replace(PRIV, hp=None, hq=None)
+        values = _encrypt_signed(PUB, [0, 3 << 40, -1], 5)
+        with _parallel_engine() as engine:
+            assert engine.zero_test_batch(plain_key, values,
+                                          WITNESS_BOUND) \
+                == [True, False, False]
+            assert engine.report()["parallel_modexps"] == len(values)
+
+    def test_sealed_key_answers_true_without_modexps(self, monkeypatch):
+        sealed = seal_paillier_keypair(PUB, "alice").private_key
+        engine = _parallel_engine()
+
+        def no_modexps(jobs):
+            raise AssertionError("a sealed key must run no modexp")
+
+        monkeypatch.setattr(engine, "_execute", no_modexps)
+        values = _encrypt_signed(PUB, [0, 1 << 40], 6)
+        assert engine.zero_test_batch(sealed, values, WITNESS_BOUND) \
+            == [True, True]
+        assert engine.report()["jobs"] == 0
+
+    def test_out_of_range_ciphertext_rejected(self):
+        with pytest.raises(PaillierError, match="Z_"):
+            _parallel_engine().zero_test_batch(PRIV, [PUB.n_squared],
+                                               WITNESS_BOUND)
+        with pytest.raises(PaillierError, match="Z_"):
+            ModexpEngine(workers=1).zero_test_batch(PRIV, [-1],
+                                                    WITNESS_BOUND)
 
 
 class TestDgkThroughEngine:

@@ -10,6 +10,7 @@ from repro.smc.bitwise_comparison import (
     BitwiseComparisonError,
     dgk_greater_than,
     dgk_greater_than_batch,
+    witness_bound,
 )
 
 KEYS = cached_paillier_keypair(256, 810)
@@ -94,6 +95,7 @@ class TestBatch:
     def test_matches_per_point_predicates(self, x, ys, seed):
         alice, bob = _fresh_parties(seed)
         assert dgk_greater_than_batch(alice, x, bob, ys, 16, KEYS) \
+            == [dgk_greater_than(alice, x, bob, y, 16, KEYS) for y in ys] \
             == [x > y for y in ys]
 
     def test_empty_batch_sends_nothing(self):
@@ -143,6 +145,54 @@ class TestBatch:
             dgk_greater_than_batch(alice, 8, bob, [0], 3, KEYS)
         with pytest.raises(BitwiseComparisonError, match="bits"):
             dgk_greater_than_batch(alice, 0, bob, [0], 0, KEYS)
+
+
+def _max_witness_pairs(bits: int) -> list[tuple[int, list[int]]]:
+    """``(x, ys)`` groups where every bit of some ``y`` disagrees with
+    ``x``: ``w_t = t`` at every position, the largest witnesses."""
+    full = (1 << bits) - 1
+    alternating = int("10" * bits, 2) >> bits
+    groups = []
+    for x in (full, 0, alternating, full ^ alternating):
+        groups.append((x, [full ^ x, x, max(x - 1, 0), min(x + 1, full)]))
+    return groups
+
+
+class TestKeySizes:
+    """Batched == per-point == plaintext at every key size.
+
+    128- and 256-bit keys take the engine's one-powmod zero test; at a
+    64-bit key the witness bound reaches the primes, so the same calls
+    fall back to full decryption.
+    """
+
+    @pytest.mark.parametrize("key_bits", [64, 128, 256])
+    @pytest.mark.parametrize("bits", [16, 41])
+    def test_batched_per_point_plaintext_agree(self, key_bits, bits):
+        keys = cached_paillier_keypair(key_bits, 811)
+        private = keys.private_key
+        falls_back = witness_bound(bits) > min(private.p, private.q)
+        assert falls_back == (key_bits == 64)
+        for x, ys in _max_witness_pairs(bits):
+            alice, bob = _fresh_parties(x % 97)
+            expected = [x > y for y in ys]
+            assert dgk_greater_than_batch(alice, x, bob, ys, bits,
+                                          keys) == expected
+            assert [dgk_greater_than(alice, x, bob, y, bits, keys)
+                    for y in ys] == expected
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.sampled_from([64, 128, 256]),
+           st.integers(min_value=0, max_value=2**16 - 1),
+           st.lists(st.integers(min_value=0, max_value=2**16 - 1),
+                    min_size=1, max_size=5),
+           st.integers(min_value=0, max_value=100))
+    def test_random_pairs(self, key_bits, x, ys, seed):
+        keys = cached_paillier_keypair(key_bits, 811)
+        alice, bob = _fresh_parties(seed)
+        assert dgk_greater_than_batch(alice, x, bob, ys, 16, keys) \
+            == [dgk_greater_than(alice, x, bob, y, 16, keys) for y in ys] \
+            == [x > y for y in ys]
 
 
 class TestObliviousness:
