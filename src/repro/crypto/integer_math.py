@@ -49,25 +49,10 @@ def powmod_cache_report() -> dict[str, int]:
     }
 
 
-def egcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclidean algorithm.
-
-    Returns ``(g, x, y)`` with ``g = gcd(a, b)`` and ``a*x + b*y == g``.
-    Iterative to avoid recursion limits on cryptographic-size integers.
-    """
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    return old_r, old_x, old_y
-
-
 def mod_inverse(a: int, modulus: int) -> int:
     """Multiplicative inverse of ``a`` modulo ``modulus``.
+
+    One builtin ``pow(a, -1, modulus)`` (a C-level extended gcd).
 
     Raises:
         ValueError: if ``a`` is not invertible (``gcd(a, modulus) != 1``)
@@ -75,10 +60,12 @@ def mod_inverse(a: int, modulus: int) -> int:
     """
     if modulus <= 0:
         raise ValueError(f"modulus must be positive, got {modulus}")
-    g, x, _ = egcd(a % modulus, modulus)
-    if g != 1:
-        raise ValueError(f"{a} has no inverse modulo {modulus} (gcd={g})")
-    return x % modulus
+    try:
+        return pow(a, -1, modulus)
+    except ValueError:
+        raise ValueError(
+            f"{a} has no inverse modulo {modulus} "
+            f"(gcd={math.gcd(a, modulus)})") from None
 
 
 def lcm(a: int, b: int) -> int:
@@ -95,9 +82,11 @@ def crt_pair(residue_p: int, p: int, residue_q: int, q: int) -> int:
     and ``x = residue_q (mod q)``.  Used by the CRT-accelerated Paillier
     decryption path.
     """
-    g, inv_p_mod_q, _ = egcd(p, q)
-    if g != 1:
-        raise ValueError(f"moduli must be coprime, gcd({p}, {q}) = {g}")
+    try:
+        inv_p_mod_q = pow(p, -1, q)
+    except ValueError:
+        raise ValueError(f"moduli must be coprime, gcd({p}, {q}) = "
+                         f"{math.gcd(p, q)}") from None
     diff = (residue_q - residue_p) % q
     return (residue_p + p * ((diff * inv_p_mod_q) % q)) % (p * q)
 
@@ -124,12 +113,23 @@ def isqrt_exact(value: int) -> int | None:
 def pow_mod(base: int, exponent: int, modulus: int) -> int:
     """Modular exponentiation supporting negative exponents.
 
-    Negative exponents are resolved through the modular inverse, which the
-    Paillier scalar-multiply-by-negative path needs (e.g. homomorphically
-    computing ``E(-2 * a_i * b_i)`` in the DGK-style comparison).
+    A negative exponent is resolved as ``(base^-1)^|exponent|``: the
+    builtin ``pow`` takes one modular inverse (a C-level extended gcd)
+    and then an exponent as wide as ``|exponent|``.  The whole result
+    sits in the :func:`cached_pow` memo under the negative exponent, so
+    a replayed query hits it exactly as it hits a positive one.  This is
+    the kernel of :meth:`repro.crypto.paillier.PaillierCiphertext.__mul__`
+    for negative scalars (HDP cross terms of negative coordinates, the
+    DGK complements ``E(1 - x_t)``).
+
+    Raises:
+        ValueError: if the modulus is not positive, or the exponent is
+            negative and ``base`` is not invertible modulo ``modulus``.
     """
     if modulus <= 0:
         raise ValueError(f"modulus must be positive, got {modulus}")
-    if exponent < 0:
-        return cached_pow(mod_inverse(base, modulus), -exponent, modulus)
-    return cached_pow(base, exponent, modulus)
+    try:
+        return cached_pow(base, exponent, modulus)
+    except ValueError:
+        raise ValueError(
+            f"{base} has no inverse modulo {modulus}") from None

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from repro.crypto.integer_math import cached_pow, lcm, mod_inverse
+from repro.crypto.integer_math import cached_pow, lcm, mod_inverse, pow_mod
 from repro.crypto.primes import generate_distinct_primes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycle)
@@ -245,15 +245,32 @@ class PaillierCiphertext:
     __radd__ = __add__
 
     def __mul__(self, scalar: int) -> "PaillierCiphertext":
+        """Homomorphic plaintext multiplication: ``D(E(m) * k) = k*m mod n``.
+
+        The scalar is reduced to ``s = k mod n``.  Up to ``n // 2`` (the
+        non-negative half of
+        :class:`~repro.crypto.encoding.SignedEncoder`) the result is
+        ``c^s mod n^2``.  Above it ``s`` encodes the negative ``s - n``,
+        and the result is ``(c^-1)^(n-s) mod n^2``: one modular inverse
+        and an exponent as wide as ``|k|`` instead of a full-width one.
+        The two forms differ by the factor ``c^n``, a public encryption
+        of 0, so they decrypt alike and neither reveals more than the
+        other.  A value that is not a unit mod ``n^2`` (the mirror's
+        placeholder zeros, tampered input) has no inverse and takes
+        ``c^s``.
+        """
         if not isinstance(scalar, int):
             raise PaillierError(
                 f"can only multiply by integer plaintexts, got {type(scalar)}"
             )
         n = self.public_key.n
-        return PaillierCiphertext(
-            self.public_key,
-            cached_pow(self.value, scalar % n, self.public_key.n_squared),
-        )
+        n_sq = self.public_key.n_squared
+        s = scalar % n
+        try:
+            value = pow_mod(self.value, s - n if s > n // 2 else s, n_sq)
+        except ValueError:  # not a unit mod n^2: no inverse
+            value = cached_pow(self.value, s, n_sq)
+        return PaillierCiphertext(self.public_key, value)
 
     __rmul__ = __mul__
 

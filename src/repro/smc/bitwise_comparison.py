@@ -19,7 +19,12 @@ Protocol:
    ``E(c_t)`` with ``c_t = x_t - y_t - 1 + 3 * w_t`` where
    ``w_t = sum_{s<t} (x_s XOR y_s)`` counts disagreeing higher bits;
    ``c_t = 0`` iff position ``t`` witnesses ``x > y`` (``x_t=1, y_t=0``,
-   all higher bits equal).
+   all higher bits equal).  The XOR under encryption is ``E(x_t)``
+   where ``y_t = 0`` and the complement ``E(1 - x_t)`` where
+   ``y_t = 1``; the complements are computed once per received bit
+   batch, for every ``t`` whatever ``y`` is, each by one modular
+   inverse (a scalar-mul by -1, see
+   :meth:`~repro.crypto.paillier.PaillierCiphertext.__mul__`).
 3. The other party blinds each ``E(c_t)`` with a random multiplier,
    rerandomizes, shuffles, and returns the batch.
 4. The key holder tests each witness for zero: some plaintext is 0
@@ -37,7 +42,8 @@ ciphertexts are shared by every comparison of the batch, which is sound
 because they are semantically secure and carry no per-``y`` state --
 while steps 2-3 run per ``y_i`` exactly as in the per-point protocol
 (independent blinding multipliers, independent rerandomization, an
-independent shuffle per point), and step 4 zero-tests all witness
+independent shuffle per point) against complements computed once for
+the whole batch, and step 4 zero-tests all witness
 batches in one engine sweep.  The predicate bits are bit-identical to
 ``k`` per-point runs; only the key holder's encryption count (``bits``
 instead of ``k * bits``) and the message count (2 instead of ``2k``)
@@ -76,30 +82,38 @@ def _check_domain(name: str, value: int, bits: int) -> None:
         raise BitwiseComparisonError(f"{name}={value} outside [0, 2^{bits})")
 
 
-def _blinded_witnesses(public, received, y_bits, rng, pool) -> list[int]:
+def _complements(public, received) -> list[PaillierCiphertext]:
+    """``E(1 - x_t)`` for every received bit ciphertext ``E(x_t)``.
+
+    Computed once per bit batch, for every position, before any ``y`` is
+    looked at: the work is the same whatever the other party's bits are,
+    and every ``y`` of a batch reuses it.
+    """
+    one = PaillierCiphertext(public, public.raw_encrypt_constant(1))
+    return [one - enc_x_bit for enc_x_bit in received]
+
+
+def _blinded_witnesses(public, received, complements, y_bits, rng,
+                       pool) -> list[int]:
     """Steps 2-3 for one ``y``: blinded, shuffled witness ciphertexts.
 
-    ``received`` are the key holder's bit ciphertexts (MSB first).  Runs
-    the other party's RNG in exactly the per-point order (one multiplier
-    and one rerandomization per bit, then one shuffle), so batched and
-    per-point executions draw identical randomness for this half.
+    ``received`` are the key holder's bit ciphertexts (MSB first) and
+    ``complements`` their :func:`_complements`.  Runs the other party's
+    RNG in exactly the per-point order (one multiplier and one
+    rerandomization per bit, then one shuffle), so batched and per-point
+    executions draw identical randomness for this half.
     """
-    one = public.raw_encrypt_constant(1)
     blinded: list[int] = []
     # running_w accumulates E(sum of XORs of strictly-higher bit positions).
     running_w = PaillierCiphertext(public, public.raw_encrypt_constant(0))
-    for enc_x_bit, y_bit in zip(received, y_bits):
+    for enc_x_bit, complement, y_bit in zip(received, complements, y_bits):
         # c_t = x_t - y_t - 1 + 3 * w_t, all under encryption.
         c = enc_x_bit + (-y_bit - 1) + running_w * 3
         multiplier = rng.randrange(1, 1 << _BLIND_BITS)
         masked = (c * multiplier).rerandomize(rng, pool)
         blinded.append(masked.value)
         # XOR under encryption: x ^ y = x when y=0, 1 - x when y=1.
-        if y_bit == 0:
-            xor_term = enc_x_bit
-        else:
-            xor_term = PaillierCiphertext(public, one) - enc_x_bit
-        running_w = running_w + xor_term
+        running_w = running_w + (complement if y_bit else enc_x_bit)
     rng.shuffle(blinded)
     return blinded
 
@@ -148,8 +162,9 @@ def dgk_greater_than(key_holder: Party, x: int, other: Party, y: int,
     received_values = other.receive(f"{label}/x_bits")
     received = [PaillierCiphertext(public, v) for v in received_values]
     y_bits = [(y >> (bits - 1 - t)) & 1 for t in range(bits)]
-    blinded = _blinded_witnesses(public, received, y_bits, other.rng,
-                                 other_pool)
+    blinded = _blinded_witnesses(public, received,
+                                 _complements(public, received), y_bits,
+                                 other.rng, other_pool)
     other.send(f"{label}/witnesses", blinded)
 
     # --- Step 4 (key holder): look for a witness encrypting zero. ----------
@@ -195,11 +210,12 @@ def dgk_greater_than_batch(key_holder: Party, x: int, other: Party,
     # --- Steps 2-3 (other party), per y, against the shared bits. ----------
     received_values = other.receive(f"{label}/x_bits")
     received = [PaillierCiphertext(public, v) for v in received_values]
+    complements = _complements(public, received)
     batches = []
     for y in ys:
         y_bits = [(y >> (bits - 1 - t)) & 1 for t in range(bits)]
-        batches.append(_blinded_witnesses(public, received, y_bits,
-                                          other.rng, other_pool))
+        batches.append(_blinded_witnesses(public, received, complements,
+                                          y_bits, other.rng, other_pool))
     other.send(f"{label}/witnesses", batches)
 
     # --- Step 4 (key holder): one zero-test sweep over every batch. --------

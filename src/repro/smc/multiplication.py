@@ -26,7 +26,6 @@ Two fidelity modes:
 from __future__ import annotations
 
 from repro.crypto.encoding import SignedEncoder
-from repro.crypto.integer_math import cached_pow
 from repro.crypto.paillier import PaillierCiphertext, PaillierKeyPair
 from repro.crypto.precompute import RandomnessPool
 from repro.crypto.sealed import decrypt_or_discard
@@ -87,7 +86,7 @@ def secure_multiplication(receiver: Party, x: int, masker: Party, y: int,
     if faithful_shared_r:
         r_value = masker.receive(f"{label}/shared_r")
         masked_value = (
-            cached_pow(received.value, encoder.encode(y), public.n_squared)
+            (received * encoder.encode(y)).value
             * public.raw_encrypt(encoder.encode(mask), r_value)
         ) % public.n_squared
         masker.send(f"{label}/masked_product", masked_value)

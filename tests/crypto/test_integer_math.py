@@ -7,32 +7,12 @@ from hypothesis import given, strategies as st
 
 from repro.crypto.integer_math import (
     crt_pair,
-    egcd,
     int_bit_length_bytes,
     isqrt_exact,
     lcm,
     mod_inverse,
     pow_mod,
 )
-
-
-class TestEgcd:
-    def test_coprime_pair(self):
-        g, x, y = egcd(240, 46)
-        assert g == 2
-        assert 240 * x + 46 * y == 2
-
-    def test_zero_operand(self):
-        g, x, y = egcd(0, 7)
-        assert g == 7
-        assert 0 * x + 7 * y == 7
-
-    @given(st.integers(min_value=0, max_value=10**12),
-           st.integers(min_value=0, max_value=10**12))
-    def test_bezout_identity(self, a, b):
-        g, x, y = egcd(a, b)
-        assert g == math.gcd(a, b)
-        assert a * x + b * y == g
 
 
 class TestModInverse:
@@ -129,6 +109,10 @@ class TestPowMod:
     def test_bad_modulus(self):
         with pytest.raises(ValueError, match="positive"):
             pow_mod(2, 2, 0)
+
+    def test_negative_exponent_of_non_unit_raises(self):
+        with pytest.raises(ValueError, match="no inverse"):
+            pow_mod(6, -1, 9)
 
     @given(st.integers(min_value=1, max_value=10**6),
            st.integers(min_value=-20, max_value=20))

@@ -147,6 +147,45 @@ class TestBatch:
             dgk_greater_than_batch(alice, 0, bob, [0], 0, KEYS)
 
 
+class TestComplements:
+    """``E(1 - x_t)`` costs ``bits`` negative scalar-muls per received
+    bit batch -- the same for every ``y`` and every batch size."""
+
+    @pytest.fixture
+    def negative_muls(self, monkeypatch):
+        from repro.crypto.paillier import PaillierCiphertext
+        original = PaillierCiphertext.__mul__
+        count = [0]
+
+        def counting_mul(cipher, scalar):
+            n = cipher.public_key.n
+            if scalar % n > n // 2:
+                count[0] += 1
+            return original(cipher, scalar)
+
+        monkeypatch.setattr(PaillierCiphertext, "__mul__", counting_mul)
+        return count
+
+    @pytest.mark.parametrize("size", [1, 2, 5])
+    def test_batch_count_independent_of_bits_and_size(self, negative_muls,
+                                                      size):
+        bits = 8
+        for y in (0, (1 << bits) - 1):
+            alice, bob = _fresh_parties(size)
+            negative_muls[0] = 0
+            result = dgk_greater_than_batch(alice, 0b10110100, bob,
+                                            [y] * size, bits, KEYS)
+            assert result == [0b10110100 > y] * size
+            assert negative_muls[0] == bits, (y, size)
+
+    @pytest.mark.parametrize("y", [0, 0b0101, 0b1111])
+    def test_per_point_count_independent_of_bits(self, negative_muls, y):
+        alice, bob = _fresh_parties(y)
+        negative_muls[0] = 0
+        assert dgk_greater_than(alice, 9, bob, y, 4, KEYS) == (9 > y)
+        assert negative_muls[0] == 4
+
+
 def _max_witness_pairs(bits: int) -> list[tuple[int, list[int]]]:
     """``(x, ys)`` groups where every bit of some ``y`` disagrees with
     ``x``: ``w_t = t`` at every position, the largest witnesses."""
