@@ -4,11 +4,12 @@ Every expensive operation in the crypto layer -- randomness-pool refills
 (``r^n mod n^2``), batch encryption, batch decryption, DGK bit
 encryption, DGK witness zero tests -- reduces to an *array of
 independent modexp jobs* ``(base, exponent, modulus)``.
-:class:`ModexpEngine` executes such arrays either serially (the
-default, bit-identical to the seed-era inner loops) or sharded across a
-process pool, so offline wall-clock scales with cores on multi-core
-hosts.  Job arrays are plain integer tuples -- picklable,
-key-material-free bytes on the worker boundary.
+:class:`ModexpEngine` executes such arrays either serially
+(bit-identical to the seed-era inner loops) or sharded across a process
+pool, so wall-clock scales with cores on multi-core hosts;
+:func:`default_engine` is sized to the cores the process may use.  Job
+arrays are plain integer tuples -- picklable, key-material-free bytes
+on the worker boundary.
 
 Design rules (see DESIGN.md, "Parallel modexp engine"):
 
@@ -33,6 +34,7 @@ Design rules (see DESIGN.md, "Parallel modexp engine"):
 
 from __future__ import annotations
 
+import atexit
 import os
 import threading
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -48,6 +50,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (paillier types)
     from repro.crypto.precompute import RandomnessPool
 
 ModexpJob = tuple  # (base, exponent, modulus)
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on.
+
+    ``os.sched_getaffinity`` honours ``taskset`` and cpuset limits,
+    which ``os.cpu_count`` (every CPU of the host) overstates; platforms
+    without it fall back to ``os.cpu_count``.
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
 
 
 class EngineError(ValueError):
@@ -77,9 +92,9 @@ class ModexpEngine:
     """Executes arrays of modexp jobs, serially or across a process pool.
 
     Args:
-        workers: process count.  ``None`` auto-sizes to the host's CPU
-            count; ``0`` or ``1`` means serial execution (no pool is ever
-            spawned).
+        workers: process count.  ``None`` auto-sizes to
+            :func:`usable_cpus`; ``0`` or ``1`` means serial execution
+            (no pool is ever spawned).
         min_parallel_jobs: batches smaller than this run serially even
             when workers are available -- below it the fork/pickle
             round-trip costs more than the modexps.
@@ -92,7 +107,7 @@ class ModexpEngine:
                  min_parallel_jobs: int = 32,
                  shards_per_worker: int = 2):
         if workers is None:
-            workers = os.cpu_count() or 1
+            workers = usable_cpus()
         if workers < 0:
             raise EngineError(f"workers must be >= 0, got {workers}")
         if min_parallel_jobs < 1:
@@ -123,6 +138,19 @@ class ModexpEngine:
 
     # -- lifecycle ---------------------------------------------------------
 
+    def _discard_broken_pool(self) -> None:
+        """Mark the pool broken and shut the dead executor down.
+
+        Dropping the executor without ``shutdown`` would leave any
+        worker that is still alive running until interpreter exit;
+        ``wait=False`` because a broken pool may never drain its queue.
+        """
+        with self._lock:
+            executor, self._executor = self._executor, None
+            self._pool_broken = True
+        if executor is not None:
+            executor.shutdown(wait=False, cancel_futures=True)
+
     def _ensure_executor(self):
         with self._lock:
             if self._executor is not None:
@@ -150,12 +178,15 @@ class ModexpEngine:
         up rather than being drained by the first one to boot.  A
         still-booting worker on a spawn-start platform finishes its
         startup concurrently with (not inside) the caller's next timed
-        region.  Serial engines (``workers <= 1``) and hosts that cannot
-        spawn a pool return ``False`` and stay serial; the warm-up never
-        changes what any later batch computes.
+        region.  A pool already warmed returns ``True`` at once, so every
+        offline phase may call this.  Serial engines (``workers <= 1``)
+        and hosts that cannot spawn a pool return ``False`` and stay
+        serial; the warm-up never changes what any later batch computes.
         """
         if self.workers <= 1:
             return False
+        if self.warmups and self._executor is not None:
+            return True
         executor = self._ensure_executor()
         if executor is None:
             return False
@@ -165,8 +196,7 @@ class ModexpEngine:
                                   [chunk] * (4 * self.workers)):
                 pass
         except Exception:  # pool died during spawn: degrade to serial
-            self._pool_broken = True
-            self._executor = None
+            self._discard_broken_pool()
             return False
         self.warmups += 1
         return True
@@ -251,9 +281,8 @@ class ModexpEngine:
             for chunk in executor.map(_modexp_chunk, shards):
                 results.extend(chunk)
         except Exception:  # a worker died mid-batch: degrade, stay correct
+            self._discard_broken_pool()
             with self._lock:
-                self._pool_broken = True
-                self._executor = None
                 self.fallbacks += 1
             return _modexp_chunk_cached(jobs)
         with self._lock:
@@ -455,17 +484,26 @@ class ModexpEngine:
         return [power == 1 for power in powers]
 
 
-_SERIAL_ENGINE: ModexpEngine | None = None
+_DEFAULT_ENGINE: ModexpEngine | None = None
+_DEFAULT_ENGINE_LOCK = threading.Lock()
 
 
 def default_engine() -> ModexpEngine:
-    """The shared serial engine protocol code falls back to.
+    """The process-wide engine every session without its own uses.
 
-    Serial by construction: a bare primitive call (no session, no
-    configured engine) must behave exactly like the seed-era inner loop,
-    with zero process overhead.
+    Sized to :func:`usable_cpus`, so an in-process session uses every
+    core it may run on; on a 1-CPU host it is serial.  Creating it
+    starts nothing: the worker pool forks at the first batch of at
+    least ``min_parallel_jobs`` jobs (or at :meth:`ModexpEngine.warm_up`,
+    which ``SmcSession.precompute_pools`` calls), and smaller batches
+    run in-process through the ``cached_pow`` memo.  The pool is closed
+    at interpreter exit.  Forked workers inherit the process's open file
+    descriptors, so runtimes that hold sockets (the party program, the
+    daemon) give their sessions an engine of their own instead.
     """
-    global _SERIAL_ENGINE
-    if _SERIAL_ENGINE is None:
-        _SERIAL_ENGINE = ModexpEngine(workers=1)
-    return _SERIAL_ENGINE
+    global _DEFAULT_ENGINE
+    with _DEFAULT_ENGINE_LOCK:
+        if _DEFAULT_ENGINE is None:
+            _DEFAULT_ENGINE = ModexpEngine(workers=None)
+            atexit.register(_DEFAULT_ENGINE.close)
+        return _DEFAULT_ENGINE

@@ -165,13 +165,10 @@ class PartyMesh:
         pair of every pairwise session, or a
         ``{(left, right): session_plan}`` mapping keyed like
         :meth:`pool_report` -- e.g. the consumption a probe run
-        reported.  Refills run through each session's engine; every
-        distinct engine is warmed up first so the pool-spawn latency is
-        paid here, in the offline phase, not by the first online batch.
+        reported.  Refills run through each session's engine, which
+        each session warms up first, so the pool-spawn latency is paid
+        here, in the offline phase, not by the first online batch.
         """
-        for engine in {id(session.engine): session.engine
-                       for session in self._sessions.values()}.values():
-            engine.warm_up()
         if isinstance(factors, int):
             for session in self._sessions.values():
                 session.precompute_pools(factors)

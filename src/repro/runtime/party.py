@@ -48,6 +48,7 @@ crashed and recovered mid-way (property-tested in ``tests/runtime``).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -58,6 +59,7 @@ from dataclasses import dataclass, field
 
 from repro.core.distance import PeerCipherCache
 from repro.core.leakage import Disclosure, LeakageEvent, LeakageLedger
+from repro.crypto.engine import ModexpEngine
 from repro.multiparty.horizontal import _driver_pass, _peer_count
 from repro.multiparty.mesh import derive_pair_rng
 from repro.multiparty.scheduler import make_pass_executor
@@ -395,6 +397,7 @@ class PartyProcess:
         # bytes or plaintexts, so tracing cannot disturb bit-identity.
         self.tracer = tracer_for(trace_dir, name)
         self._session_span = NULL_SPAN
+        self.engine = ModexpEngine(workers=1)
 
     # -- link-up -----------------------------------------------------------
 
@@ -604,8 +607,14 @@ class PartyProcess:
         exchange replays from the recorded view: the identical frames,
         no new traffic.
         """
-        config = self.manifest.protocol_config()
-        provider = SealedKeyProvider(config.smc, self.name,
+        # Every session runs on this process's own serial engine, as
+        # the daemon's sessions run on the daemon's: a pool forked from
+        # here would inherit the live link sockets (a dead party's
+        # links would stay open in its workers), and one process per
+        # party already fills the host's cores.
+        smc = dataclasses.replace(self.manifest.protocol_config().smc,
+                                  engine=self.engine)
+        provider = SealedKeyProvider(smc, self.name,
                                      key_digests=self.manifest.key_digests)
         contexts = {
             name: provider.context_for(name, slot)
@@ -623,7 +632,7 @@ class PartyProcess:
                 self.manifest.seed_of(right), right, left, right,
                 namespace=self.manifest.rng_namespace))
             pair.parties = {left: left_party, right: right_party}
-            pair.session = SmcSession(left_party, right_party, config.smc,
+            pair.session = SmcSession(left_party, right_party, smc,
                                       preset_contexts=contexts)
 
     # -- control plane -----------------------------------------------------

@@ -26,7 +26,12 @@ Protocol:
    inverse (a scalar-mul by -1, see
    :meth:`~repro.crypto.paillier.PaillierCiphertext.__mul__`).
 3. The other party blinds each ``E(c_t)`` with a random multiplier,
-   rerandomizes, shuffles, and returns the batch.
+   rerandomizes, shuffles, and returns the batch.  The blinding powmods
+   ``E(c_t)^r`` and the rerandomization factors a pool does not supply
+   run as one engine batch per received bit batch, with every random
+   draw made in the per-bit order (multiplier, then factor) and the
+   shuffle drawn per ``y`` as a permutation of indices, applied once
+   the batch returns.
 4. The key holder tests each witness for zero: some plaintext is 0
    <=>  ``x > y``.  A witness plaintext is ``c_t * r`` with
    ``|c_t| <= 3 * bits`` and ``r < 2^_BLIND_BITS``, so it is below
@@ -43,17 +48,21 @@ because they are semantically secure and carry no per-``y`` state --
 while steps 2-3 run per ``y_i`` exactly as in the per-point protocol
 (independent blinding multipliers, independent rerandomization, an
 independent shuffle per point) against complements computed once for
-the whole batch, and step 4 zero-tests all witness
-batches in one engine sweep.  The predicate bits are bit-identical to
-``k`` per-point runs; only the key holder's encryption count (``bits``
-instead of ``k * bits``) and the message count (2 instead of ``2k``)
-change.
+the whole batch, with the blinding of every ``y_i`` in one engine batch,
+and step 4 zero-tests all witness batches in one engine sweep.  The
+predicate bits are bit-identical to ``k`` per-point runs; only the key
+holder's encryption count (``bits`` instead of ``k * bits``) and the
+message count (2 instead of ``2k``) change.
 """
 
 from __future__ import annotations
 
 from repro.crypto.engine import ModexpEngine, default_engine
-from repro.crypto.paillier import PaillierCiphertext, PaillierKeyPair
+from repro.crypto.paillier import (
+    PaillierCiphertext,
+    PaillierError,
+    PaillierKeyPair,
+)
 from repro.crypto.precompute import RandomnessPool
 from repro.net.party import Party
 
@@ -93,29 +102,59 @@ def _complements(public, received) -> list[PaillierCiphertext]:
     return [one - enc_x_bit for enc_x_bit in received]
 
 
-def _blinded_witnesses(public, received, complements, y_bits, rng,
-                       pool) -> list[int]:
-    """Steps 2-3 for one ``y``: blinded, shuffled witness ciphertexts.
+def _blinded_witness_batches(public, received, complements, ys, bits,
+                             rng, pool, engine) -> list[list[int]]:
+    """Steps 2-3 for every ``y``: blinded, shuffled witness batches.
 
     ``received`` are the key holder's bit ciphertexts (MSB first) and
-    ``complements`` their :func:`_complements`.  Runs the other party's
-    RNG in exactly the per-point order (one multiplier and one
-    rerandomization per bit, then one shuffle), so batched and per-point
-    executions draw identical randomness for this half.
+    ``complements`` their :func:`_complements`.  Every blinding ``c_t^r``
+    and every rerandomization factor ``r'^n`` a pool does not supply is
+    one job of a single :meth:`~repro.crypto.engine.ModexpEngine.modexp_batch`
+    over all of ``ys``.  The randomness is drawn in exactly the
+    per-point order -- per bit the multiplier from ``rng``, then the
+    rerandomization factor (a pool pop, else a unit from the pool's RNG,
+    or from ``rng`` when unpooled); per ``y`` one shuffle of ``bits``
+    indices -- so witnesses, RNG states and pool accounting are those of
+    ``(c_t * r).rerandomize(rng, pool)`` per bit and ``rng.shuffle`` per
+    ``y``.  A serial engine runs the jobs through ``cached_pow`` under
+    the same arguments as that path, so replays hit the memo alike.
     """
-    blinded: list[int] = []
-    # running_w accumulates E(sum of XORs of strictly-higher bit positions).
-    running_w = PaillierCiphertext(public, public.raw_encrypt_constant(0))
-    for enc_x_bit, complement, y_bit in zip(received, complements, y_bits):
-        # c_t = x_t - y_t - 1 + 3 * w_t, all under encryption.
-        c = enc_x_bit + (-y_bit - 1) + running_w * 3
-        multiplier = rng.randrange(1, 1 << _BLIND_BITS)
-        masked = (c * multiplier).rerandomize(rng, pool)
-        blinded.append(masked.value)
-        # XOR under encryption: x ^ y = x when y=0, 1 - x when y=1.
-        running_w = running_w + (complement if y_bit else enc_x_bit)
-    rng.shuffle(blinded)
-    return blinded
+    if pool is not None and pool.public_key != public:
+        raise PaillierError("randomness pool bound to a different key")
+    n, n_sq = public.n, public.n_squared
+    jobs: list[tuple[int, int, int]] = []
+    # Per witness: its blinding job's index and its pooled factor; on a
+    # pool miss (or unpooled) the factor is the job right after it.
+    slots: list[tuple[int, int | None]] = []
+    orders: list[list[int]] = []
+    for y in ys:
+        y_bits = [(y >> (bits - 1 - t)) & 1 for t in range(bits)]
+        # running_w accumulates E(sum of XORs of strictly-higher bits).
+        running_w = PaillierCiphertext(public, public.raw_encrypt_constant(0))
+        for enc_x_bit, complement, y_bit in zip(received, complements,
+                                                y_bits):
+            # c_t = x_t - y_t - 1 + 3 * w_t, all under encryption.
+            c = enc_x_bit + (-y_bit - 1) + running_w * 3
+            # The multiplier is below 2^_BLIND_BITS <= n // 2 (keys have
+            # at least 64 bits), so ``c * multiplier`` is plainly
+            # ``c^multiplier mod n^2``.
+            multiplier = rng.randrange(1, 1 << _BLIND_BITS)
+            factor = pool.try_factor() if pool is not None else None
+            slots.append((len(jobs), factor))
+            jobs.append((c.value, multiplier, n_sq))
+            if factor is None:
+                unit = public.random_unit(rng if pool is None else pool.rng)
+                jobs.append((unit, n, n_sq))
+            # XOR under encryption: x ^ y = x when y=0, 1 - x when y=1.
+            running_w = running_w + (complement if y_bit else enc_x_bit)
+        order = list(range(bits))
+        rng.shuffle(order)
+        orders.append(order)
+    powers = engine.modexp_batch(jobs)
+    witnesses = [powers[at] * (powers[at + 1] if factor is None else factor)
+                 % n_sq for at, factor in slots]
+    return [[witnesses[start + position] for position in order]
+            for start, order in zip(range(0, len(witnesses), bits), orders)]
 
 
 def dgk_greater_than(key_holder: Party, x: int, other: Party, y: int,
@@ -140,9 +179,10 @@ def dgk_greater_than(key_holder: Party, x: int, other: Party, y: int,
             the bit-encryption and blinding loops are the protocols'
             hottest powmod sites, and pools turn each into a mulmod.
         engine: optional :class:`~repro.crypto.engine.ModexpEngine`
-            executing the bit-encryption batch and the witness
-            zero test as sharded modexp jobs (bit-identical results;
-            serial when omitted).
+            executing the bit-encryption batch, the blinding and the
+            witness zero test as sharded modexp jobs (bit-identical
+            results; :func:`~repro.crypto.engine.default_engine` when
+            omitted).
     """
     if bits < 1:
         raise BitwiseComparisonError(f"bits must be >= 1, got {bits}")
@@ -161,10 +201,9 @@ def dgk_greater_than(key_holder: Party, x: int, other: Party, y: int,
     # --- Steps 2-3 (other party): blinded witness ciphertexts. ------------
     received_values = other.receive(f"{label}/x_bits")
     received = [PaillierCiphertext(public, v) for v in received_values]
-    y_bits = [(y >> (bits - 1 - t)) & 1 for t in range(bits)]
-    blinded = _blinded_witnesses(public, received,
-                                 _complements(public, received), y_bits,
-                                 other.rng, other_pool)
+    [blinded] = _blinded_witness_batches(
+        public, received, _complements(public, received), [y], bits,
+        other.rng, other_pool, engine)
     other.send(f"{label}/witnesses", blinded)
 
     # --- Step 4 (key holder): look for a witness encrypting zero. ----------
@@ -210,12 +249,9 @@ def dgk_greater_than_batch(key_holder: Party, x: int, other: Party,
     # --- Steps 2-3 (other party), per y, against the shared bits. ----------
     received_values = other.receive(f"{label}/x_bits")
     received = [PaillierCiphertext(public, v) for v in received_values]
-    complements = _complements(public, received)
-    batches = []
-    for y in ys:
-        y_bits = [(y >> (bits - 1 - t)) & 1 for t in range(bits)]
-        batches.append(_blinded_witnesses(public, received, complements,
-                                          y_bits, other.rng, other_pool))
+    batches = _blinded_witness_batches(
+        public, received, _complements(public, received), ys, bits,
+        other.rng, other_pool, engine)
     other.send(f"{label}/witnesses", batches)
 
     # --- Step 4 (key holder): one zero-test sweep over every batch. --------

@@ -79,10 +79,11 @@ class SmcConfig:
             ablations.
         engine: a :class:`~repro.crypto.engine.ModexpEngine` executing
             the crypto layer's bulk modexp work (pool refills, batch
-            encrypt/decrypt, DGK bit batches).  ``None`` uses the shared
-            serial engine -- identical results, one process.  Supply
-            ``ModexpEngine(workers=k)`` to shard those jobs across
-            ``k`` worker processes.
+            encrypt/decrypt, DGK bit batches and blinding).  ``None``
+            uses :func:`~repro.crypto.engine.default_engine`, sized to
+            the process's usable cores -- identical results either way.
+            Supply ``ModexpEngine(workers=k)`` to choose the worker
+            count.
         transport: a :class:`~repro.net.transport.TransportSpec`
             choosing the delivery fabric for every channel built for
             this config (``None`` = seed-era in-process deques).  Each
@@ -367,11 +368,14 @@ class SmcSession:
         combination or a ``{(actor, key_owner): count}`` plan -- e.g. the
         consumption a probe run reported via :meth:`pool_report`.  The
         refills run through the session's engine, so a multi-worker
-        engine shards this offline phase across processes.
+        engine shards this offline phase across processes; the engine
+        is warmed up first, so its worker pool spawns here, never in
+        set-up or in the online phase.
         """
         if not self.config.precompute:
             raise SessionError(
                 "precompute_pools requires SmcConfig(precompute=True)")
+        self.engine.warm_up()
         names = (self.alice.name, self.bob.name)
         if isinstance(factors, int):
             plan = {(actor, owner): factors

@@ -8,12 +8,21 @@ same RNG state, for every worker count and for the serial fallback.
 """
 
 import dataclasses
+import os
 import random
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.engine import EngineError, ModexpEngine, default_engine
+from repro.crypto.engine import (
+    EngineError,
+    ModexpEngine,
+    default_engine,
+    usable_cpus,
+)
 from repro.crypto.keycache import cached_paillier_keypair
 from repro.crypto.paillier import PaillierError, generate_paillier_keypair
 from repro.crypto.precompute import RandomnessPool
@@ -68,10 +77,81 @@ class TestModexpBatch:
         with pytest.raises(EngineError, match="shards_per_worker"):
             ModexpEngine(shards_per_worker=0)
 
-    def test_default_engine_is_serial_singleton(self):
+    def test_default_engine_is_host_sized_singleton(self, monkeypatch):
         engine = default_engine()
         assert engine is default_engine()
-        assert engine.workers == 1
+        assert engine.workers == usable_cpus()
+
+        def no_pool():
+            raise AssertionError("a small batch must not spawn the pool")
+
+        monkeypatch.setattr(engine, "_ensure_executor", no_pool)
+        jobs = [(3, 5, 100)] * (engine.min_parallel_jobs - 1)
+        assert engine.modexp_batch(jobs) == [pow(3, 5, 100)] * len(jobs)
+
+    def test_workers_none_sizes_to_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                            raising=False)
+        assert ModexpEngine(workers=None).workers == 3
+        # Platforms without an affinity API fall back to the CPU count.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert ModexpEngine(workers=None).workers == 64
+
+    def test_default_engine_exits_cleanly(self):
+        """A parallel batch through the default engine leaves nothing to
+        report at interpreter exit: the pool is closed by then."""
+        script = (
+            "from repro.crypto.engine import default_engine\n"
+            "engine = default_engine()\n"
+            "assert engine._executor is None\n"
+            "jobs = [(3, 65537, 2**61 - 1)] * engine.min_parallel_jobs\n"
+            "assert engine.modexp_batch(jobs) == [pow(*jobs[0])] * len(jobs)\n"
+            "print(engine.report()['parallel_batches'])\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        assert done.stdout.strip() == ("1" if usable_cpus() > 1 else "0")
+
+
+class _DeadExecutor:
+    """A stub process pool whose workers have all died."""
+
+    def __init__(self):
+        self.shutdowns = []
+
+    def map(self, fn, *iterables):
+        raise BrokenProcessPool("a worker died")
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.shutdowns.append((wait, cancel_futures))
+
+
+class TestBrokenPool:
+    """A dead pool is shut down (not merely dropped) and the engine
+    carries on serially."""
+
+    def test_batch_shuts_the_dead_pool_down(self):
+        engine = _parallel_engine()
+        dead = engine._executor = _DeadExecutor()
+        jobs = [(3, 5, 100)] * 4
+        assert engine.modexp_batch(jobs) == [pow(3, 5, 100)] * 4
+        assert dead.shutdowns == [(False, True)]
+        assert engine.report()["fallbacks"] == 1
+        # The engine stays serial: no new pool for the next batch.
+        assert engine.modexp_batch(jobs) == [pow(3, 5, 100)] * 4
+        assert engine._executor is None
+        assert engine.report()["parallel_batches"] == 0
+
+    def test_warm_up_shuts_the_dead_pool_down(self):
+        engine = _parallel_engine()
+        dead = engine._executor = _DeadExecutor()
+        assert engine.warm_up() is False
+        assert dead.shutdowns == [(False, True)]
+        assert engine._executor is None
+        assert engine.report()["warmups"] == 0
 
 
 class TestWarmUp:
@@ -94,9 +174,25 @@ class TestWarmUp:
             assert report["batches"] == 0 and report["jobs"] == 0
             assert report["warmups"] == (1 if warmed else 0)
             assert engine.modexp_batch(jobs) == [pow(3, 5, 100)] * 4
+            # A warmed pool is not warmed again.
+            assert engine.warm_up() is warmed
+            assert engine.report()["warmups"] == (1 if warmed else 0)
         # On hosts that cannot spawn a pool, warm_up reports False and
         # the engine keeps running serially -- never an exception.
         assert isinstance(warmed, bool)
+
+    def test_session_precompute_warms_before_filling(self, monkeypatch):
+        from repro.smc.session import SmcConfig, SmcSession
+        engine = ModexpEngine(workers=1)
+        session = SmcSession(*make_party_pair(Channel(), 1, 2),
+                             SmcConfig(key_seed=77, engine=engine))
+        calls = []
+        monkeypatch.setattr(engine, "warm_up",
+                            lambda: calls.append("warm_up"))
+        monkeypatch.setattr(engine, "fill_pool",
+                            lambda pool, count: calls.append("fill"))
+        session.precompute_pools(3)
+        assert calls == ["warm_up"] + ["fill"] * 4
 
     def test_mesh_precompute_warms_each_engine_once(self):
         from repro.multiparty.mesh import PartyMesh

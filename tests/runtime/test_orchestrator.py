@@ -57,6 +57,29 @@ def assert_bit_identical(run, by_party, config, seeds) -> None:
     assert run.result.stats == reference.stats
 
 
+class TestPartyEngine:
+    def test_party_sessions_run_on_a_one_worker_engine(self, monkeypatch):
+        """A party process holds live link sockets, so its sessions must
+        not fork a worker pool that would inherit them."""
+        from repro.net.channel import Channel
+        from repro.runtime import party
+
+        by_party = workload(3)
+        manifest = build_manifest(by_party, make_config(), [1, 2, 3])
+        process = party.PartyProcess(manifest, "p1", by_party["p1"])
+        engines = []
+        monkeypatch.setattr(
+            party, "SmcSession",
+            lambda left, right, smc, **kwargs: engines.append(smc.engine))
+        process._register_offline_pairs()
+        for pair in process.pairs.values():
+            pair.channel = Channel(pair.left, pair.right)
+        process.build_sessions()
+        assert len(engines) == 2
+        assert all(engine is process.engine for engine in engines)
+        assert process.engine.workers == 1
+
+
 @pytest.mark.sockets
 class TestOrchestratedEquivalence:
     def test_three_party_mesh_over_loopback_tcp_bit_identical(self):

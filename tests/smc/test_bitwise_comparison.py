@@ -1,11 +1,18 @@
 """Tests for the DGK-style bitwise comparison."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto import integer_math, paillier, precompute
+from repro.crypto.engine import ModexpEngine
 from repro.crypto.keycache import cached_paillier_keypair
+from repro.crypto.paillier import PaillierCiphertext
+from repro.crypto.precompute import RandomnessPool
 from repro.net.channel import Channel
 from repro.net.party import make_party_pair
+from repro.smc import bitwise_comparison
 from repro.smc.bitwise_comparison import (
     BitwiseComparisonError,
     dgk_greater_than,
@@ -14,6 +21,7 @@ from repro.smc.bitwise_comparison import (
 )
 
 KEYS = cached_paillier_keypair(256, 810)
+BATCHED = bitwise_comparison._blinded_witness_batches
 
 
 def _fresh_parties(seed: int = 0):
@@ -254,3 +262,97 @@ class TestObliviousness:
         zeros = sum(1 for value in witnesses
                     if KEYS.private_key.decrypt_raw(value) == 0)
         assert zeros == 0
+
+
+def _per_witness_batches(public, received, complements, ys, bits, rng,
+                         pool, engine):
+    """The per-witness reference for steps 2-3: one scalar-mul and one
+    ``rerandomize`` per bit, then ``rng.shuffle`` of the witnesses."""
+    batches = []
+    for y in ys:
+        y_bits = [(y >> (bits - 1 - t)) & 1 for t in range(bits)]
+        blinded = []
+        running_w = PaillierCiphertext(public, public.raw_encrypt_constant(0))
+        for enc_x_bit, complement, y_bit in zip(received, complements,
+                                                y_bits):
+            c = enc_x_bit + (-y_bit - 1) + running_w * 3
+            multiplier = rng.randrange(1, 1 << 40)
+            blinded.append((c * multiplier).rerandomize(rng, pool).value)
+            running_w = running_w + (complement if y_bit else enc_x_bit)
+        rng.shuffle(blinded)
+        batches.append(blinded)
+    return batches
+
+
+class TestBatchedBlinding:
+    """Steps 2-3 as one engine batch equal the per-witness reference:
+    same witnesses, same RNG states after, same pool accounting, and
+    (on a serial engine) the same ``cached_pow`` arguments."""
+
+    BITS = 8
+    YS = [0, 0b10110011, 0b01101100, 0b11111111]
+    # Blinding takes one factor per bit and y: 32 for the batch, 8 for
+    # a per-point run; the "miss" pool runs dry after 5.
+    PREFILL = {"pooled": 40, "miss": 5, "unpooled": None}
+
+    def _run(self, entry, pool_case, engine, blinding, monkeypatch):
+        monkeypatch.setattr(bitwise_comparison, "_blinded_witness_batches",
+                            blinding)
+        channel = Channel()
+        alice, bob = make_party_pair(channel, 21, 22)
+        pool = None
+        if self.PREFILL[pool_case] is not None:
+            pool = RandomnessPool(KEYS.public_key, random.Random(23))
+            pool.refill(self.PREFILL[pool_case])
+        if entry == "batch":
+            result = dgk_greater_than_batch(alice, 0b10110100, bob, self.YS,
+                                            self.BITS, KEYS, other_pool=pool,
+                                            engine=engine)
+        else:
+            result = dgk_greater_than(alice, 0b10110100, bob, self.YS[1],
+                                      self.BITS, KEYS, other_pool=pool,
+                                      engine=engine)
+        return {"result": result,
+                "witnesses": channel.transcript.entries[-1].value,
+                "rng": bob.rng.getstate(),
+                "pool_rng": (pool.rng.getstate() if pool is not None
+                             else None),
+                "pool": pool.report() if pool is not None else None}
+
+    @pytest.mark.parametrize("pool_case", ["pooled", "miss", "unpooled"])
+    @pytest.mark.parametrize("entry", ["per-point", "batch"])
+    def test_matches_per_witness_reference(self, entry, pool_case,
+                                           monkeypatch):
+        with ModexpEngine(workers=2, min_parallel_jobs=1) as parallel:
+            for engine in (ModexpEngine(workers=1), parallel):
+                expected = self._run(entry, pool_case, engine,
+                                     _per_witness_batches, monkeypatch)
+                assert self._run(entry, pool_case, engine, BATCHED,
+                                 monkeypatch) == expected
+        if pool_case == "miss":
+            assert expected["pool"]["misses"] > 0
+        elif pool_case == "pooled":
+            assert expected["pool"]["misses"] == 0
+
+    @pytest.mark.parametrize("pool_case", ["pooled", "miss", "unpooled"])
+    def test_serial_engine_memo_arguments_unchanged(self, pool_case,
+                                                    monkeypatch):
+        """A replay after the change hits the memo entries the
+        per-witness path made: the ``cached_pow`` argument sets agree."""
+        original = integer_math.cached_pow
+        calls = {}
+
+        def recorder(into):
+            def recording(base, exponent, modulus):
+                into.add((base, exponent, modulus))
+                return original(base, exponent, modulus)
+            return recording
+
+        for blinding in (_per_witness_batches, BATCHED):
+            calls[blinding] = set()
+            for module in (integer_math, paillier, precompute):
+                monkeypatch.setattr(module, "cached_pow",
+                                    recorder(calls[blinding]))
+            self._run("batch", pool_case, ModexpEngine(workers=1), blinding,
+                      monkeypatch)
+        assert calls[BATCHED] == calls[_per_witness_batches]
